@@ -16,6 +16,11 @@
 // of stall cycles (Tözün et al., cited as [28]).
 package cpu
 
+import (
+	"fmt"
+	"math"
+)
+
 // Config parameterizes the timing model.
 type Config struct {
 	// BaseCPI is the no-stall cycles-per-instruction of the 6-wide core
@@ -58,6 +63,26 @@ func (c Config) WithDefaults() Config {
 		c.ContextBytes = 256
 	}
 	return c
+}
+
+// Validate reports an error unless every cost the configuration charges is
+// finite and non-negative, so core clocks stay so too. Zero fields select
+// their defaults, as in NewTiming.
+func (c Config) Validate() error {
+	c = c.WithDefaults()
+	switch {
+	case !(c.BaseCPI > 0) || math.IsInf(c.BaseCPI, 1):
+		return fmt.Errorf("cpu: BaseCPI %v must be finite and > 0", c.BaseCPI)
+	case !(c.FetchBubble >= 0) || math.IsInf(c.FetchBubble, 1):
+		return fmt.Errorf("cpu: FetchBubble %v must be finite and >= 0", c.FetchBubble)
+	case !(c.DataOverlap >= 0 && c.DataOverlap <= 1):
+		return fmt.Errorf("cpu: DataOverlap %v must be in [0,1]", c.DataOverlap)
+	case c.MigrationBaseCycles < 0:
+		return fmt.Errorf("cpu: MigrationBaseCycles %d must be >= 0", c.MigrationBaseCycles)
+	case c.ContextBytes < 0:
+		return fmt.Errorf("cpu: ContextBytes %d must be >= 0", c.ContextBytes)
+	}
+	return nil
 }
 
 // Timing computes cycle costs from the config.

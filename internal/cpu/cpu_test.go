@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -73,5 +74,26 @@ func TestPropMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestValidate(t *testing.T) {
+	if err := (Config{}).Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	for name, cfg := range map[string]Config{
+		"negative BaseCPI":     {BaseCPI: -0.5},
+		"infinite BaseCPI":     {BaseCPI: math.Inf(1)},
+		"NaN BaseCPI":          {BaseCPI: math.NaN()},
+		"negative FetchBubble": {FetchBubble: -1},
+		"infinite FetchBubble": {FetchBubble: math.Inf(1)},
+		"DataOverlap above 1":  {DataOverlap: 1.5},
+		"negative DataOverlap": {DataOverlap: -0.1},
+		"negative migration":   {MigrationBaseCycles: -1},
+		"negative context":     {ContextBytes: -64},
+	} {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -145,6 +145,10 @@ func TestBatchQuantumInvariance(t *testing.T) {
 			func() sim.Policy { return sched.NewBaseline() }, nil},
 		{"slicc", sim.Config{Cores: 4},
 			func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil},
+		// An odd core count pads the event queue's tree; at quantum 1 every
+		// instruction pauses and resumes mid-streak.
+		{"slicc-5core", sim.Config{Cores: 5},
+			func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil},
 	}
 	for _, quantum := range []uint64{1, 257, 1 << 40} {
 		runBatchAgainstScalar(t, w, quantum, cells)

@@ -101,6 +101,23 @@ func TestEventHorizonMatchesReference(t *testing.T) {
 	// The MaxInstructions abort must trigger at the same instruction.
 	runBoth(t, "aborted", sim.Config{Cores: 4, MaxInstructions: 5000}, threads,
 		func() sim.Policy { return sched.NewBaseline() }, nil)
+
+	// Core counts that are not powers of two leave idle padding leaves in
+	// the event queue's tree.
+	runBoth(t, "base-3core", sim.Config{Cores: 3}, threads,
+		func() sim.Policy { return sched.NewBaseline() }, nil)
+	runBoth(t, "slicc-12core", sim.Config{Cores: 12, LogEvents: true}, threads,
+		func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil)
+
+	// Fewer threads than cores: idle leaves beside running ones, and
+	// longer streaks.
+	runBoth(t, "slicc-sw-sparse", sim.Config{Cores: 16, LogEvents: true}, threads,
+		func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.SW)) }, nil)
+
+	// The directory's maximum core count, with every core busy.
+	wide := workload.New(workload.Config{Kind: workload.TPCC1, Threads: 72, Seed: 3, Scale: 0.002}).Threads()
+	runBoth(t, "slicc-64core", sim.Config{Cores: 64, LogEvents: true}, wide,
+		func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil)
 }
 
 // TestEventHorizonMatchesReferenceTrace replays a recorded v2 container so

@@ -233,32 +233,17 @@ type Machine struct {
 	// paths.
 	iBlockShift uint
 	dBlockShift uint
-	// The running cores live in a two-tier event queue ordered by (local
-	// clock, core index); membership mirrors coreState.running exactly
-	// (fillIdleCores pushes, the finish/migrate/switch paths remove, the
-	// batched loop floats the core it is stepping).
-	//
-	//   - cur[curPos:] is the *current round*: a sorted snapshot of core
-	//     clocks. While every stepped core lands beyond the horizon — the
-	//     next entry's clock — picking the global minimum is one compare
-	//     and a cursor bump.
-	//   - fut is a min-heap of everything else: cores already stepped
-	//     this round, refilled cores, migration targets. Its root is the
-	//     horizon the current round is checked against.
-	//
-	// When the round is exhausted, fut (typically already near-sorted,
-	// because lockstep cores re-arrive in clock order) becomes the next
-	// round via one insertion sort. The global minimum is therefore
-	// min(cur[curPos], fut[0]) at every step — exactly the core a full
-	// scan would pick — at an amortized couple of compares per
-	// instruction instead of an O(cores) scan or an O(log cores) sift.
-	cur    []heapEntry
-	curPos int
-	fut    []heapEntry
-	// floating is the core currently being stepped by the batched loop
-	// (absent from both tiers); -1 otherwise. heapRemove uses it to make
-	// mid-step removals O(1).
-	floating int32
+	// tree is the event queue: a winner tree over the cores (Knuth's
+	// replacement-selection tournament, TAOCP vol. 3 §5.4.1) ordered by
+	// (local clock, core index). With P the next power of two >= Cores,
+	// tree[P+c] is core c's leaf — its clock key while it runs, idleKey
+	// while it is idle, as are the padding leaves — and tree[i] holds the
+	// winner of tree[2i] and tree[2i+1], so tree[1] is the core the
+	// reference scan would pick. Leaf membership mirrors
+	// coreState.running: fillIdleCores sets leaves, the finish, migrate
+	// and switch paths idle them. Only runLoop lets a leaf go stale, for
+	// the core it is streaking, and syncs it when the streak ends.
+	tree []treeNode
 
 	cores   []coreState
 	threads []*ThreadState
@@ -289,6 +274,14 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 	if policy == nil {
 		panic("sim: nil policy")
 	}
+	// The event queue compares clocks as bit patterns, which needs them
+	// finite and non-negative: every cycle cost must be.
+	if err := cfg.CPU.Validate(); err != nil {
+		panic("sim: " + err.Error())
+	}
+	if cfg.HopLatency < 0 {
+		panic(fmt.Sprintf("sim: negative HopLatency %d", cfg.HopLatency))
+	}
 	m := &Machine{
 		cfg:           cfg,
 		torus:         noc.New(cfg.TorusWidth, cfg.TorusHeight, cfg.HopLatency),
@@ -298,9 +291,7 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 		cores:         make([]coreState, cfg.Cores),
 		dir:           newDirectory(cfg.Cores),
 		referenceLoop: slowSimDefault,
-		cur:           make([]heapEntry, 0, cfg.Cores),
-		fut:           make([]heapEntry, 0, cfg.Cores),
-		floating:      -1,
+		tree:          newTree(cfg.Cores),
 	}
 	m.hier = mem.New(cfg.Mem, m.torus)
 	m.l1i = make([]*cache.Cache, cfg.Cores)
@@ -412,12 +403,13 @@ const opBatchLen = 256
 // partial result is returned alongside ctx.Err(). A completed run returns a
 // nil error.
 //
-// The scheduler is event-horizon batched (see the cur/fut fields): every
+// The scheduler is event-horizon batched (see the tree field): every
 // instruction executes on the core a full per-instruction scan would pick
-// — the global (clock, index) minimum — but the pick costs an amortized
-// couple of compares, because stepping the minimum core never advances any
-// other core's clock. The interleaving, and therefore the result, is
-// bit-identical to the reference scheduler's (see DESIGN.md and
+// — the global (clock, index) minimum, the tree's root — and because
+// stepping the minimum core never advances any other core's clock, that
+// core keeps running with one compare per instruction until its clock
+// reaches its horizon, the earliest other clock. The interleaving, and therefore the
+// result, is bit-identical to the reference scheduler's (see DESIGN.md and
 // TestEventHorizonMatchesReference).
 func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 	done := ctx.Done()
@@ -443,14 +435,28 @@ func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 // — every thread done, or the MaxInstructions abort tripped (m.aborted
 // distinguishes) — and cancelled=true when the done channel fired at a
 // poll point. Both false means the budget ran out with work remaining; all
-// loop state lives in the Machine and the queue is left consistent, so a
-// later call resumes at exactly the instruction this one stopped before.
-// RunBatch's lockstep quanta rest on that resumability, which is why the
-// budget checks sit on the post-step paths rather than a cheaper outer
-// wrapper.
+// loop state lives in the Machine and every leaf is synced before a
+// return, so a later call resumes at exactly the instruction this one
+// stopped before. RunBatch's lockstep quanta rest on that resumability,
+// which is why the budget checks sit on the post-step paths rather than a
+// cheaper outer wrapper.
 func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancelled bool) {
 	steps := uint64(0)
+	// c is the core to step, -1 to read it off the root; hz is its
+	// horizon, 0 (which every clock has reached) until a replay of c's
+	// leaf returns one.
+	c, hz := -1, uint64(0)
 	for {
+		if c < 0 {
+			root := m.tree[1]
+			if root.key == idleKey {
+				if !m.fillIdleCores() {
+					return true, false
+				}
+				continue
+			}
+			c, hz = int(root.c), 0
+		}
 		if done != nil && steps&cancelCheckMask == 0 {
 			select {
 			case <-done:
@@ -458,93 +464,26 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 			default:
 			}
 		}
-		if m.curPos >= len(m.cur) {
-			// Round exhausted: the stepped cores become the next round.
-			if len(m.fut) == 0 {
-				if !m.fillIdleCores() {
-					return true, false
-				}
-				continue
-			}
-			m.cur, m.fut = m.fut, m.cur[:0]
-			m.curPos = 0
-			sortEntries(m.cur)
-			continue
-		}
-		e := m.cur[m.curPos]
-		if len(m.fut) > 0 && m.fut[0].less(e) {
-			// A stepped or refilled core is behind the whole round: run it
-			// off the future heap until it crosses back over. Its event
-			// horizon — the nearest clock that could take the minimum over
-			// — is the smaller of the round head and the heap root's
-			// children, computed once; until the streak crosses it, each
-			// instruction costs one compare and no queue updates.
-			root := m.fut[0]
-			c := int(root.c)
-			hz := e
-			if len(m.fut) > 1 {
-				l := 1
-				if len(m.fut) > 2 && m.fut[2].less(m.fut[1]) {
-					l = 2
-				}
-				if m.fut[l].less(hz) {
-					hz = m.fut[l]
-				}
-			}
-			for {
-				if done != nil && steps&cancelCheckMask == 0 {
-					select {
-					case <-done:
-						return false, true
-					default:
-					}
-				}
-				steps++
-				sched := m.step(c)
-				if m.cfg.MaxInstructions > 0 && m.instr >= m.cfg.MaxInstructions {
-					m.aborted = true
-					return true, false
-				}
-				if sched {
-					break
-				}
-				ct := m.cores[c].time
-				if ct < hz.t || (ct == hz.t && root.c < hz.c) {
-					if steps < budget {
-						continue
-					}
-					// Budget exhausted mid-streak: the heap root's key is
-					// stale (that staleness is the streak optimization), so
-					// re-sync it before pausing to leave a resumable queue.
-					m.fut[0].t = ct
-					m.siftDown(0)
-					return false, false
-				}
-				m.fut[0].t = ct
-				m.siftDown(0)
-				break
-			}
-			if steps >= budget {
-				return false, false
-			}
-			continue
-		}
-		c := int(e.c)
-		m.curPos++
-		m.floating = e.c
 		steps++
 		sched := m.step(c)
 		if m.cfg.MaxInstructions > 0 && m.instr >= m.cfg.MaxInstructions {
 			m.aborted = true
 			return true, false
 		}
-		if !sched {
-			// Still running: rejoin the queue with the advanced clock.
-			// (On sched events heapRemove consumed the float marker, and
-			// any refill re-entered the core through heapPush.)
-			m.futPush(heapEntry{t: m.cores[c].time, c: e.c})
+		if sched {
+			// step idled c's leaf and set the refilled ones.
+			c = -1
+		} else if key := math.Float64bits(m.cores[c].time); key >= hz || steps >= budget {
+			// Past the horizon (a tie ends the streak too, which is safe)
+			// or out of budget: sync the leaf. If c still wins, the
+			// returned horizon is the earliest other clock; otherwise the
+			// winner is the new minimum.
+			var w int32
+			w, hz = m.setLeaf(c, key)
+			if int(w) != c {
+				c, hz = int(w), 0
+			}
 		}
-		m.floating = -1
 		if steps >= budget {
 			return false, false
 		}
@@ -589,7 +528,7 @@ func (m *Machine) runReference(ctx context.Context, done <-chan struct{}) (Resul
 func (m *Machine) UseReferenceLoop(v bool) { m.referenceLoop = v }
 
 // nextCore picks the running core with the smallest local time (the
-// reference loop's per-instruction scan; the batched loop reads the heap
+// reference loop's per-instruction scan; the batched loop reads the tree's
 // root instead).
 func (m *Machine) nextCore() int {
 	best, bestT := -1, math.Inf(1)
@@ -601,106 +540,58 @@ func (m *Machine) nextCore() int {
 	return best
 }
 
-// heapEntry is one running core with its clock copied in as the sort key.
-type heapEntry struct {
-	t float64
-	c int32
+// treeNode is one slot of the event queue: a core and its clock key.
+type treeNode struct {
+	key uint64
+	c   int32
 }
 
-// less orders entries by (clock, core index) — the same total order the
-// scan's "strictly smaller time, first index wins" rule induces. Keys are
-// unique, so the heap root is always the scan's unique pick.
-func (a heapEntry) less(b heapEntry) bool {
-	return a.t < b.t || (a.t == b.t && a.c < b.c)
-}
+// idleKey is the leaf key of a core with no running thread: the bits of
+// +Inf, above every finite clock.
+const idleKey = 0x7ff0000000000000
 
-// heapPush enters core c into the event queue (always the future tier;
-// the current round is an immutable sorted snapshot).
-func (m *Machine) heapPush(c int) {
-	m.futPush(heapEntry{t: m.cores[c].time, c: int32(c)})
-}
-
-// heapRemove drops core c from the event queue. In the batched loop c is
-// the stepping core — floated out of both tiers — so this is one compare;
-// the scans below serve the reference loop, where the queue is maintained
-// but never consulted.
-func (m *Machine) heapRemove(c int) {
-	if int32(c) == m.floating {
-		m.floating = -1
-		return
+// newTree returns an event queue over the given core count with every
+// leaf idle.
+func newTree(cores int) []treeNode {
+	p := 1
+	for p < cores {
+		p <<= 1
 	}
-	for i := range m.fut {
-		if int(m.fut[i].c) == c {
-			last := len(m.fut) - 1
-			if i != last {
-				m.fut[i] = m.fut[last]
-				m.fut = m.fut[:last]
-				m.siftDown(i)
-				m.siftUp(i)
-			} else {
-				m.fut = m.fut[:last]
-			}
-			return
-		}
+	t := make([]treeNode, 2*p)
+	for i := range t {
+		t[i].key = idleKey
 	}
-	for i := m.curPos; i < len(m.cur); i++ {
-		if int(m.cur[i].c) == c {
-			m.cur = append(m.cur[:i], m.cur[i+1:]...)
-			return
-		}
-	}
+	return t
 }
 
-// sortEntries insertion-sorts a round snapshot. Rounds arrive near-sorted
-// (lockstep cores re-enter the future tier in clock order), so this is
-// typically one compare per entry; core counts are small either way.
-func sortEntries(h []heapEntry) {
-	for i := 1; i < len(h); i++ {
-		e := h[i]
-		j := i - 1
-		for j >= 0 && e.less(h[j]) {
-			h[j+1] = h[j]
-			j--
-		}
-		h[j+1] = e
+// setLeaf sets core c's leaf to key — the bits of its clock, or idleKey —
+// and replays the matches on the path to the root. It returns the new
+// root's core and the smallest key among the siblings on the path; when
+// the root is c, that is the earliest clock of any other core.
+//
+// Clocks are finite and non-negative (New enforces it), so their bit
+// patterns order like the floats. Every core under a left sibling has a
+// lower index than every core under its right sibling, so the (clock,
+// index) order is a plain key compare with the tie-break as borrow-in: a
+// left sibling wins ties, a right sibling only when strictly earlier.
+// The matches select with masks, not branches, because which side wins
+// is data-dependent.
+func (m *Machine) setLeaf(c int, key uint64) (root int32, horizon uint64) {
+	t := m.tree
+	i := len(t)/2 + c
+	wk, wc := key, int32(c)
+	t[i] = treeNode{wk, wc}
+	horizon = idleKey
+	for ; i > 1; i >>= 1 {
+		s := t[i^1]
+		_, b := bits.Sub64(s.key, wk, uint64(i&1))
+		win := -b // all ones when the sibling wins
+		wk ^= (wk ^ s.key) & win
+		wc ^= (wc ^ s.c) & int32(win)
+		horizon = min(horizon, s.key)
+		t[i>>1] = treeNode{wk, wc}
 	}
-}
-
-func (m *Machine) futPush(e heapEntry) {
-	m.fut = append(m.fut, e)
-	m.siftUp(len(m.fut) - 1)
-}
-
-func (m *Machine) siftUp(i int) {
-	h := m.fut
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].less(h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func (m *Machine) siftDown(i int) {
-	h := m.fut
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		small := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			small = r
-		}
-		if !h[small].less(h[i]) {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
+	return wc, horizon
 }
 
 // fillIdleCores polls the policy for work on every idle core; it reports
@@ -727,7 +618,7 @@ func (m *Machine) fillIdleCores() bool {
 		}
 		t.InstrOnCore = 0
 		m.cores[c].running = t
-		m.heapPush(c)
+		m.setLeaf(c, math.Float64bits(m.cores[c].time))
 		any = true
 	}
 	return any
@@ -782,7 +673,7 @@ func (m *Machine) step(c int) (sched bool) {
 		m.finished++
 		m.latencies = append(m.latencies, m.cores[c].time-t.StartedAt)
 		m.cores[c].running = nil
-		m.heapRemove(c)
+		m.setLeaf(c, idleKey)
 		m.policy.OnThreadFinish(c, t)
 		m.fillIdleCores()
 		return true
@@ -868,7 +759,7 @@ func (m *Machine) contextSwitch(c int, t *ThreadState) {
 		m.events = append(m.events, Event{Cycle: m.cores[c].time, ThreadID: t.ID, From: c, To: c, Switch: true})
 	}
 	m.cores[c].running = nil
-	m.heapRemove(c)
+	m.setLeaf(c, idleKey)
 	if m.enqueue == nil {
 		panic(fmt.Sprintf("sim: policy %q yielded without EnqueueMigrated", m.policy.Name()))
 	}
@@ -955,7 +846,7 @@ func (m *Machine) migrate(src, dst int, t *ThreadState) {
 		m.events = append(m.events, Event{Cycle: m.cores[src].time, ThreadID: t.ID, From: src, To: dst})
 	}
 	m.cores[src].running = nil
-	m.heapRemove(src)
+	m.setLeaf(src, idleKey)
 	if m.enqueue == nil {
 		panic(fmt.Sprintf("sim: policy %q requested migration without EnqueueMigrated", m.policy.Name()))
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"slicc/internal/cpu"
 	"slicc/internal/trace"
 )
 
@@ -291,6 +292,24 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if m.L1I(0).Config().SizeBytes != 32*1024 {
 		t.Fatal("default L1I size wrong")
+	}
+}
+
+// The event queue needs finite, non-negative clocks, so New rejects a
+// timing model that could produce anything else.
+func TestNewRejectsNegativeCost(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"BaseCPI":    {CPU: cpu.Config{BaseCPI: -0.5}},
+		"HopLatency": {HopLatency: -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("negative %s accepted", name)
+				}
+			}()
+			New(cfg, &fifoPolicy{}, nil, nil)
+		}()
 	}
 }
 
