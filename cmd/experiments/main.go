@@ -288,10 +288,8 @@ func reportStats(engine *slicc.Engine, start time.Time, verbose bool) {
 			elapsed.Seconds(), stats.InstructionsSimulated,
 			float64(stats.InstructionsSimulated)/elapsed.Seconds()/1e6)
 		if stats.BatchesExecuted > 0 {
-			amort := float64(stats.BatchOpsServed) / float64(stats.BatchOpsDecoded+1)
-			fmt.Fprintf(os.Stderr, "batch: %d cells in %d lockstep batches, %d ops decoded once for %d served (%.1fx decode amortization)\n",
-				stats.CellsBatched, stats.BatchesExecuted,
-				stats.BatchOpsDecoded, stats.BatchOpsServed, amort)
+			fmt.Fprintf(os.Stderr, "batch: %d cells in %d lockstep batches\n",
+				stats.CellsBatched, stats.BatchesExecuted)
 		}
 	}
 }

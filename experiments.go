@@ -166,11 +166,6 @@ type EngineStats struct {
 	// lockstep sweep batches (a subset of SimsExecuted) and the batch
 	// passes that ran them.
 	CellsBatched, BatchesExecuted int
-	// BatchOpsDecoded counts trace ops decoded once into shared batch
-	// tables; BatchOpsServed the instructions batched simulations executed
-	// from them. Served/decoded is the decode amortization the batching
-	// bought — the scalar path decodes every served op per cell.
-	BatchOpsDecoded, BatchOpsServed uint64
 }
 
 // Engine runs experiments on a shared worker pool. Simulations are
@@ -359,8 +354,6 @@ func (e *Engine) Stats() EngineStats {
 		InstructionsSimulated: s.Instructions,
 		CellsBatched:          s.JobsBatched,
 		BatchesExecuted:       s.BatchesExecuted,
-		BatchOpsDecoded:       s.BatchOpsDecoded,
-		BatchOpsServed:        s.BatchOpsServed,
 	}
 }
 

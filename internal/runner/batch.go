@@ -2,9 +2,9 @@ package runner
 
 // Lockstep batch execution: RunBatched is Run with multi-cell batching.
 // KindSim jobs that share a (normalized) workload config form a family;
-// each family's store misses execute as one sim.RunBatch pass over the
-// workload's shared decoded op table (workload.BatchThreads), so the
-// family decodes each op once instead of once per cell. Everything
+// each family's store misses execute as sim.RunBatch passes over the
+// workload's threads (workload.BatchThreads), which replay from the
+// workload's compact op cache exactly as scalar runs do. Everything
 // observable matches Run: results arrive in input order and are
 // byte-identical to scalar execution, the persistent store is consulted
 // and recorded per cell with unchanged keys (hits shrink the batch;
@@ -20,10 +20,11 @@ import (
 )
 
 // maxGangMachines caps how many machines one sim.RunBatch pass interleaves.
-// Larger gangs amortize nothing extra — the decoded table is shared across
-// gangs — but multiply the live model state (caches, directory, policy
-// tables are several MB per machine) competing for the host cache; measured
-// on the fig7-thresholds sweep, gangs of ~4 beat both width 2 and width 21.
+// Larger gangs amortize nothing extra — every gang replays the same op
+// cache recording — but multiply the live model state (caches, directory,
+// policy tables are several MB per machine) competing for the host cache;
+// measured on the fig7-thresholds sweep, gangs of ~4 beat both width 2 and
+// width 21.
 const maxGangMachines = 4
 
 // RunBatched executes jobs like Run, but runs same-workload KindSim
@@ -88,7 +89,7 @@ func (p *Pool) RunBatched(ctx context.Context, jobs []Job) ([]Result, error) {
 // batch to its misses, and the misses run as lockstep gangs of up to
 // maxGangMachines — each gang under its own worker slot, so a wide family
 // exploits the pool's parallelism exactly as its cells would have
-// individually, while still sharing the workload's once-decoded op table.
+// individually.
 func (p *Pool) executeBatch(ctx context.Context, jobs []Job, entries []*entry) {
 	missJobs := make([]Job, 0, len(jobs))
 	missEntries := make([]*entry, 0, len(jobs))
@@ -162,11 +163,7 @@ func (p *Pool) executeGang(ctx context.Context, jobs []Job, entries []*entry, ke
 		failAll(err)
 		return
 	}
-	// BatchThreads decodes the table once per workload (concurrent gangs
-	// block on the same sync.Once); only the decoding gang sees a nonzero
-	// fresh count, so the stat is counted exactly once however many gangs
-	// share the table.
-	threads, decoded := w.BatchThreads()
+	threads := w.BatchThreads()
 	machines := make([]*sim.Machine, len(jobs))
 	for i, j := range jobs {
 		policy, pref := buildPolicy(j.Policy, w)
@@ -200,8 +197,6 @@ func (p *Pool) executeGang(ctx context.Context, jobs []Job, entries []*entry, ke
 	p.stats.JobsBatched += len(jobs)
 	p.stats.BatchesExecuted++
 	p.stats.Instructions += served
-	p.stats.BatchOpsDecoded += decoded
-	p.stats.BatchOpsServed += served
 	p.done += len(jobs)
 	p.mu.Unlock()
 	p.progress()

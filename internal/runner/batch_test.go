@@ -3,10 +3,12 @@ package runner
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"slicc/internal/sim"
 	islicc "slicc/internal/slicc"
+	"slicc/internal/trace"
 	"slicc/internal/workload"
 )
 
@@ -50,9 +52,12 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 	if s.JobsExecuted != 7 || s.JobsBatched != 6 || s.BatchesExecuted != 2 {
 		t.Fatalf("stats = %+v, want 7 executed / 6 batched / 2 gangs", s)
 	}
-	if s.BatchOpsDecoded == 0 || s.BatchOpsServed <= s.BatchOpsDecoded {
-		t.Fatalf("batch amortization counters implausible: decoded %d, served %d",
-			s.BatchOpsDecoded, s.BatchOpsServed)
+	var want uint64
+	for _, r := range scalar {
+		want += r.Sim.Instructions
+	}
+	if s.Instructions != want {
+		t.Fatalf("batched pool counted %d instructions, want %d (the cells' own totals)", s.Instructions, want)
 	}
 }
 
@@ -142,29 +147,31 @@ func TestRunBatchedCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchThreadsMatchesThreads checks the workload-level table contract
-// the batch path rests on: BatchThreads yields the same thread metadata
-// and byte-identical op streams as Threads.
+// TestBatchThreadsMatchesThreads checks the workload-level contract the
+// batch path rests on: BatchThreads yields the same thread metadata as
+// Threads, primes the op cache so that a thread's very first replay
+// already comes from the compact recording rather than the generator, and
+// that recording is byte-identical to the generator's stream.
 func TestBatchThreadsMatchesThreads(t *testing.T) {
-	w := workload.New(workload.Config{Kind: workload.TPCE, Threads: 4, Seed: 11, Scale: 0.02})
-	bt, fresh := w.BatchThreads()
-	if fresh == 0 {
-		t.Fatal("first BatchThreads reported zero freshly decoded ops")
-	}
-	if _, again := w.BatchThreads(); again != 0 {
-		t.Fatalf("second BatchThreads reported %d fresh ops, want 0 (table reused)", again)
-	}
-	ths := w.Threads()
+	cfg := workload.Config{Kind: workload.TPCE, Threads: 4, Seed: 11, Scale: 0.02}
+	w := workload.New(cfg)
+	bt := w.BatchThreads()
+	ths := workload.New(cfg).Threads() // an unprimed twin: generator sources
 	if len(bt) != len(ths) {
 		t.Fatalf("BatchThreads returned %d threads, want %d", len(bt), len(ths))
 	}
-	var total uint64
 	for i := range ths {
 		if bt[i].ID != ths[i].ID || bt[i].Type != ths[i].Type || bt[i].TypeName != ths[i].TypeName {
 			t.Fatalf("thread %d metadata diverges: %+v vs %+v", i, bt[i], ths[i])
 		}
 		a, b := bt[i].New(), ths[i].New()
-		n := uint64(0)
+		if _, ok := a.(trace.BatchSource); !ok {
+			t.Fatalf("thread %d: first replay after BatchThreads is %T, want the op cache recording", i, a)
+		}
+		if _, ok := b.(trace.BatchSource); ok {
+			t.Fatalf("thread %d: unprimed first replay is %T, want the generator", i, b)
+		}
+		n := 0
 		for {
 			opA, okA := a.Next()
 			opB, okB := b.Next()
@@ -179,9 +186,38 @@ func TestBatchThreadsMatchesThreads(t *testing.T) {
 			}
 			n++
 		}
-		total += n
 	}
-	if total != fresh {
-		t.Fatalf("fresh op count %d != total stream length %d", fresh, total)
+}
+
+// TestBatchAllocatesLikeScalar pins the gang path's memory cost to the
+// scalar path's: a four-cell family run batched on a fresh pool must not
+// allocate a decoded op table's worth (24 bytes per op of one replay of
+// the workload) more than the same cells run scalar on a fresh pool. Both
+// paths record each thread once into the op cache; nothing else may scale
+// with the stream length.
+func TestBatchAllocatesLikeScalar(t *testing.T) {
+	wl := workload.Config{Kind: workload.TPCC1, Threads: 8, Seed: 5, Scale: 0.05}
+	var jobs []Job
+	for _, cores := range []int{4, 8, 12, 16} {
+		jobs = append(jobs, Job{Workload: wl, Machine: sim.Config{Cores: cores}})
 	}
+	measure := func(run func(*Pool, context.Context, []Job) ([]Result, error)) (alloc, ops uint64) {
+		p := New(Options{Workers: 1})
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rs, err := run(p, context.Background(), jobs)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, rs[0].Sim.Instructions
+	}
+	scalar, ops := measure((*Pool).Run)
+	batched, _ := measure((*Pool).RunBatched)
+	if batched > scalar && batched-scalar >= 24*ops {
+		t.Fatalf("batched family allocated %d bytes vs %d scalar: %.1f extra bytes per op over %d ops",
+			batched, scalar, float64(batched-scalar)/float64(ops), ops)
+	}
+	t.Logf("allocated %d bytes batched, %d scalar, %d ops per replay", batched, scalar, ops)
 }

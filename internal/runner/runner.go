@@ -183,12 +183,6 @@ type Stats struct {
 	// how many batch passes ran them.
 	JobsBatched     int
 	BatchesExecuted int
-	// BatchOpsDecoded counts ops decoded once into shared batch tables;
-	// BatchOpsServed counts instructions batched machines executed from
-	// them. Their ratio is the decode amortization: on the scalar path
-	// every served op would have been decoded (or regenerated) per cell.
-	BatchOpsDecoded uint64
-	BatchOpsServed  uint64
 }
 
 // Options configures a pool.

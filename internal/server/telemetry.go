@@ -105,12 +105,6 @@ func (s *Server) registerMetrics() {
 	engCounter("slicc_sim_batches_executed_total",
 		"Lockstep batch passes executed.",
 		func(e slicc.EngineStats) float64 { return float64(e.BatchesExecuted) })
-	engCounter("slicc_batch_ops_decoded_total",
-		"Trace ops decoded once into shared lockstep batch tables.",
-		func(e slicc.EngineStats) float64 { return float64(e.BatchOpsDecoded) })
-	engCounter("slicc_batch_ops_served_total",
-		"Instructions batched simulations executed from shared batch tables.",
-		func(e slicc.EngineStats) float64 { return float64(e.BatchOpsServed) })
 
 	if _, ok := eng.StoreStats(); ok {
 		reg.GaugeFunc("slicc_store_entries",

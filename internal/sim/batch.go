@@ -2,9 +2,9 @@ package sim
 
 // Lockstep multi-cell batching: advance N independent machines — same
 // workload, different configurations — through interleaved execution
-// quanta, so the op stream each machine replays is decoded once into a
-// shared table (see workload.BatchThreads) and stays resident in the
-// last-level cache while every machine consumes it.
+// quanta. Every machine replays the workload's threads from its compact op
+// cache (see workload.BatchThreads), which stays resident in the
+// last-level cache while the gang rotates.
 //
 // Byte-identity with the scalar path holds by construction. Machines never
 // share mutable state, so any interleaving *between* them is safe; *within*

@@ -3,8 +3,9 @@ package sim_test
 // Differential tests for lockstep batching: RunBatch must produce results
 // bit-identical to each machine's own scalar Run — across policy families,
 // machine features, mixed configurations inside one batch, quantum sizes,
-// and the workload's shared decoded-op table (BatchThreads) versus the
-// scalar per-machine sources.
+// and the gang's thread source (BatchThreads, which records every thread
+// into the op cache on the first machine's replay) versus a fresh
+// workload's generator sources.
 
 import (
 	"context"
@@ -36,13 +37,14 @@ func (c batchCell) machine(threads []trace.Thread) *sim.Machine {
 }
 
 // runBatchAgainstScalar runs every cell twice — once inside a single
-// RunBatch pass over the workload's shared decoded table, once alone on
-// the scalar path over the workload's own sources — and requires deeply
-// equal results per cell. The comparison therefore covers the lockstep
-// scheduler, the quantum boundaries, and BatchThreads' table in one shot.
-func runBatchAgainstScalar(t *testing.T, w *workload.Workload, quantum uint64, cells []batchCell) {
+// RunBatch pass over the gang's thread source (BatchThreads), once alone on
+// the scalar path over a fresh build of the same workload config — and
+// requires deeply equal results per cell. The comparison therefore covers
+// the lockstep scheduler, the quantum boundaries, and the op cache
+// recording the gang replays in one shot.
+func runBatchAgainstScalar(t *testing.T, cfg workload.Config, quantum uint64, cells []batchCell) {
 	t.Helper()
-	batchThreads, _ := w.BatchThreads()
+	batchThreads := workload.New(cfg).BatchThreads()
 	machines := make([]*sim.Machine, len(cells))
 	for i, c := range cells {
 		machines[i] = c.machine(batchThreads)
@@ -52,7 +54,7 @@ func runBatchAgainstScalar(t *testing.T, w *workload.Workload, quantum uint64, c
 		t.Fatalf("RunBatch: %v", err)
 	}
 	for i, c := range cells {
-		want := c.machine(w.Threads()).Run()
+		want := c.machine(workload.New(cfg).Threads()).Run()
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("%s: batched result diverges from scalar:\n got: %+v\nwant: %+v", c.name, got[i], want)
 		}
@@ -104,7 +106,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 	// The whole matrix runs as ONE mixed batch: heterogeneous core counts,
 	// policies, observers and an aborting cell interleaved in one pass.
-	runBatchAgainstScalar(t, tinyWorkload(t), 0, matrixCells())
+	runBatchAgainstScalar(t, tinyConfig, 0, matrixCells())
 }
 
 // TestBatchMatchesScalarScenarios repeats the check over the scenario
@@ -126,8 +128,8 @@ func TestBatchMatchesScalarScenarios(t *testing.T) {
 	}
 	for _, kind := range []workload.Kind{workload.Phased, workload.Skewed, workload.Microservice} {
 		t.Run(kind.String(), func(t *testing.T) {
-			w := workload.New(workload.Config{Kind: kind, Threads: 8, Seed: 7, Scale: 0.02})
-			runBatchAgainstScalar(t, w, 0, family)
+			cfg := workload.Config{Kind: kind, Threads: 8, Seed: 7, Scale: 0.02}
+			runBatchAgainstScalar(t, cfg, 0, family)
 		})
 	}
 }
@@ -139,7 +141,6 @@ func TestBatchQuantumInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is not short")
 	}
-	w := tinyWorkload(t)
 	cells := []batchCell{
 		{"base", sim.Config{Cores: 8},
 			func() sim.Policy { return sched.NewBaseline() }, nil},
@@ -151,15 +152,14 @@ func TestBatchQuantumInvariance(t *testing.T) {
 			func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil},
 	}
 	for _, quantum := range []uint64{1, 257, 1 << 40} {
-		runBatchAgainstScalar(t, w, quantum, cells)
+		runBatchAgainstScalar(t, tinyConfig, quantum, cells)
 	}
 }
 
 // TestBatchCancel verifies RunBatch's cancellation contract: ctx.Err() is
 // returned and unfinished machines report aborted partial results.
 func TestBatchCancel(t *testing.T) {
-	w := tinyWorkload(t)
-	threads, _ := w.BatchThreads()
+	threads := tinyWorkload(t).BatchThreads()
 	cells := []batchCell{
 		{"a", sim.Config{Cores: 4}, func() sim.Policy { return sched.NewBaseline() }, nil},
 		{"b", sim.Config{Cores: 8}, func() sim.Policy { return sched.NewBaseline() }, nil},
@@ -189,7 +189,7 @@ func TestBatchCancel(t *testing.T) {
 // allocate the same within a small constant.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	w := workload.New(workload.Config{Kind: workload.TPCC1, Threads: 8, Seed: 5, Scale: 0.05})
-	threads, _ := w.BatchThreads()
+	threads := w.BatchThreads()
 	run := func(max uint64) func() {
 		return func() {
 			ms := []*sim.Machine{

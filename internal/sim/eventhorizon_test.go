@@ -23,9 +23,11 @@ import (
 )
 
 // tinyWorkload synthesizes a small but feature-complete OLTP workload.
+var tinyConfig = workload.Config{Kind: workload.TPCC1, Threads: 10, Seed: 3, Scale: 0.02}
+
 func tinyWorkload(t *testing.T) *workload.Workload {
 	t.Helper()
-	return workload.New(workload.Config{Kind: workload.TPCC1, Threads: 10, Seed: 3, Scale: 0.02})
+	return workload.New(tinyConfig)
 }
 
 // runBoth executes the same configuration under the batched and reference

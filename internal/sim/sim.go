@@ -103,12 +103,10 @@ type ThreadState struct {
 	TypeName string
 
 	src trace.Source
-	// batcher/spanner are src's optional bulk-decode fast paths, resolved
-	// once at machine construction. batch[batchPos:batchLen] are
-	// decoded-but-unexecuted ops: a reusable buffer the batcher fills, or
-	// a borrowed view of the spanner's backing storage (no copy).
+	// batcher is src's optional bulk-decode fast path, resolved once at
+	// machine construction. batch[batchPos:batchLen] are
+	// decoded-but-unexecuted ops in a reusable buffer the batcher fills.
 	batcher  trace.BatchSource
-	spanner  trace.SpanSource
 	batch    []trace.Op
 	batchPos int
 	batchLen int
@@ -312,9 +310,7 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 			TypeName: th.TypeName,
 			src:      th.New(),
 		}
-		if ss, ok := t.src.(trace.SpanSource); ok {
-			t.spanner = ss
-		} else if bs, ok := t.src.(trace.BatchSource); ok {
+		if bs, ok := t.src.(trace.BatchSource); ok {
 			t.batcher = bs
 			t.batch = make([]trace.Op, opBatchLen)
 		}
@@ -631,15 +627,6 @@ func (m *Machine) fillIdleCores() bool {
 func (m *Machine) refillOp(t *ThreadState) (trace.Op, bool) {
 	if m.referenceLoop {
 		return t.src.Next()
-	}
-	if t.spanner != nil {
-		sp := t.spanner.NextSpan(opBatchLen)
-		if len(sp) == 0 {
-			return trace.Op{}, false
-		}
-		t.batch = sp
-		t.batchPos, t.batchLen = 1, len(sp)
-		return sp[0], true
 	}
 	if t.batcher != nil {
 		n := t.batcher.NextBatch(t.batch)

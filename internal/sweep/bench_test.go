@@ -1,8 +1,8 @@
 package sweep
 
 // Sweep-throughput benchmark: cells/sec for a cold same-workload family,
-// batched (lockstep, shared decoded op table) versus scalar (each cell
-// decodes for itself). The batched/scalar cells-per-second ratio is the
+// batched (lockstep gangs over the workload's op cache) versus scalar
+// (each cell run on its own). The batched/scalar cells-per-second ratio is the
 // headline number lockstep batching is accountable for in BENCH_SIM.json,
 // and the CI bench gate checks it stays above its floor.
 //
@@ -37,7 +37,7 @@ func benchSweep(b *testing.B, run func(context.Context, *runner.Pool, Spec) (*Re
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A fresh pool per iteration keeps every cell cold: no dedup memo,
-		// no workload cache, no decoded tables surviving between runs.
+		// no workload cache, no op cache recordings surviving between runs.
 		pool := runner.New(runner.Options{Workers: 1})
 		res, err := run(context.Background(), pool, spec)
 		if err != nil {

@@ -74,17 +74,6 @@ func TestSliceSourceNextBatch(t *testing.T) {
 	for _, size := range []int{1, 7, 256, 2000} {
 		equalOps(t, "slice", drainBatch(NewSliceSource(ops), size), ops)
 	}
-	// NextSpan must agree too.
-	s := NewSliceSource(ops)
-	var out []Op
-	for {
-		sp := s.NextSpan(33)
-		if len(sp) == 0 {
-			break
-		}
-		out = append(out, sp...)
-	}
-	equalOps(t, "span", out, ops)
 }
 
 // containerFor writes ops as a one-thread v2 container and reopens it.

@@ -79,26 +79,6 @@ func (s *SliceSource) NextBatch(dst []Op) int {
 	return n
 }
 
-// SpanSource is the zero-copy refinement of BatchSource for sources whose
-// ops already sit in memory: NextSpan returns up to max next ops as a view
-// of the backing storage (valid until the next call) and advances the
-// stream. An empty span means the stream is done.
-type SpanSource interface {
-	BatchSource
-	NextSpan(max int) []Op
-}
-
-// NextSpan implements SpanSource: a subslice of the backing ops, no copy.
-func (s *SliceSource) NextSpan(max int) []Op {
-	n := len(s.ops) - s.pos
-	if n > max {
-		n = max
-	}
-	sp := s.ops[s.pos : s.pos+n]
-	s.pos += n
-	return sp
-}
-
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 

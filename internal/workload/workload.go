@@ -284,12 +284,8 @@ type Workload struct {
 	threads []trace.Thread
 
 	// oc memoizes thread op streams that are replayed repeatedly (see
-	// sourceFor).
+	// sourceFor); lockstep gangs prime it through BatchThreads.
 	oc opCache
-
-	// bt is the fully-decoded op table lockstep batches replay from (see
-	// BatchThreads in batch.go), built once on first use.
-	bt batchTable
 
 	// container is the open trace file backing a Recorded workload (nil
 	// for synthetic workloads). It is held for the workload's lifetime:
@@ -372,6 +368,25 @@ func (w *Workload) sourceFor(id, ti int, seed int64) trace.Source {
 		}
 		enc.Append(op)
 	}
+}
+
+// BatchThreads returns the workload's threads for a lockstep gang
+// (sim.RunBatch): the same list as Threads, with every synthetic thread not
+// yet replayed marked as replayed once in the op cache's ladder. A gang
+// replays each thread once per machine, so the first machine's New()
+// records the stream and every other machine decodes the compact recording
+// instead of rerunning the generator. Recorded workloads have no op cache;
+// their threads stream from the container as usual.
+func (w *Workload) BatchThreads() []trace.Thread {
+	oc := &w.oc
+	oc.mu.Lock()
+	for id, s := range oc.state {
+		if s == 0 {
+			oc.state[id] = 1
+		}
+	}
+	oc.mu.Unlock()
+	return w.threads
 }
 
 // New synthesizes a workload. Trace-backed configs (TracePath set) have no
